@@ -185,6 +185,12 @@ func (b *Disk) path(h Hash) string {
 // under the lock: two concurrent Puts of the same chunk must resolve to
 // one addition, or the counters drift from the files (writes happen at
 // publish time, so serializing them costs nothing that matters).
+//
+// Put is crash-consistent: the chunk is synced before the rename makes it
+// visible, and the shard directory (and the store root, when the shard is
+// new) after it, so an acknowledged chunk survives a power cut and a torn
+// write never appears under a chunk's name. A failed sync removes what was
+// written and returns the error.
 func (b *Disk) Put(h Hash, data []byte) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -192,14 +198,20 @@ func (b *Disk) Put(h Hash, data []byte) (bool, error) {
 	if _, err := os.Stat(path); err == nil {
 		return false, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	shard := filepath.Dir(path)
+	err := os.Mkdir(shard, 0o755)
+	newShard := err == nil
+	if err != nil && !errors.Is(err, os.ErrExist) {
 		return false, fmt.Errorf("blobstore: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(shard, ".tmp-*")
 	if err != nil {
 		return false, fmt.Errorf("blobstore: %w", err)
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
@@ -211,9 +223,35 @@ func (b *Disk) Put(h Hash, data []byte) (bool, error) {
 		os.Remove(tmp.Name())
 		return false, fmt.Errorf("blobstore: %w", werr)
 	}
+	derr := syncDir(shard)
+	if derr == nil && newShard {
+		derr = syncDir(b.dir)
+	}
+	if derr != nil {
+		// Not durable, so not stored: drop the file to keep the counters
+		// equal to what a reopen would count.
+		os.Remove(path)
+		return false, derr
+	}
 	b.chunks++
 	b.bytes += int64(len(data))
 	return true, nil
+}
+
+// syncDir makes the directory's entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("blobstore: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("blobstore: syncing %s: %w", dir, err)
+	}
+	return nil
 }
 
 // Get implements Backend.

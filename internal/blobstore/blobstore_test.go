@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -115,6 +116,51 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	got, err := re.Get(h)
 	if err != nil || Sum(got) != h {
 		t.Fatalf("reopened Get = %v", err)
+	}
+}
+
+func TestDiskPutReopenKeepsCountersAndDedup(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes []Hash
+	var total int64
+	for i := 0; i < 20; i++ {
+		data := chunk(i, 50+i)
+		h := Sum(data)
+		if added, err := b.Put(h, data); err != nil || !added {
+			t.Fatalf("Put %d = %v, %v", i, added, err)
+		}
+		hashes = append(hashes, h)
+		total += int64(len(data))
+	}
+	want := BackendStats{Chunks: 20, Bytes: total}
+	re, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := re.Stats(); st != want {
+		t.Fatalf("reopened stats = %+v, want %+v", st, want)
+	}
+	for i, h := range hashes {
+		if added, err := re.Put(h, chunk(i, 50+i)); err != nil || added {
+			t.Fatalf("re-Put %d after reopen = %v, %v; want a dedup hit", i, added, err)
+		}
+	}
+	if st := re.Stats(); st != want {
+		t.Fatalf("stats after dedup hits = %+v, want %+v", st, want)
+	}
+	// Every write was renamed into place: no temp file is left behind.
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), ".tmp-") {
+			t.Errorf("leftover temp file %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

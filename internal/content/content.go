@@ -23,13 +23,17 @@ type Course struct {
 	Film    *synth.Film
 	// Chapters maps project segments onto film frame ranges.
 	Chapters []container.Chapter
+
+	// rec records the footage; a republish after a re-shoot re-encodes
+	// only the GOPs the edit touched.
+	rec studio.Recorder
 }
 
 // RecordVideo encodes the course footage into a TKVC blob with the course's
 // segment chapters.
 func (c *Course) RecordVideo(opts studio.Options) ([]byte, error) {
 	opts.Chapters = c.Chapters
-	return studio.Record(c.Film, opts)
+	return c.rec.Record(c.Film, opts)
 }
 
 // BuildPackage records the video and wraps everything into a .tkg package.

@@ -1,4 +1,4 @@
-// Quality-ladder packaging for courses: record the footage once per
+// Quality-ladder packaging for courses: encode the footage at every
 // rung and ship every rung in one package / one manifest tree, so the
 // delivery stack can serve the same course to a fiber classroom and a
 // 3G phone out of one publish.
@@ -20,7 +20,7 @@ func (c *Course) RecordLadderVideo(opts studio.Options, tiers []studio.Tier) ([]
 		tiers = studio.DefaultLadder()
 	}
 	opts.Chapters = c.Chapters
-	rungs, err := studio.RecordLadder(c.Film, opts, tiers)
+	rungs, err := c.rec.RecordLadder(c.Film, opts, tiers)
 	if err != nil {
 		return nil, fmt.Errorf("content: %w", err)
 	}

@@ -67,11 +67,19 @@ func validateLadder(tiers []Tier) error {
 	return nil
 }
 
-// RecordLadder records the film once per tier, holding everything but
+// RecordLadder records the film at every tier, holding everything but
 // the quantizer fixed across rungs (same GOP, same search range, same
 // chapters), and returns the rungs in ladder order. opts.QStep is
-// ignored; each tier's QStep wins.
+// ignored; each tier's QStep wins. It is a one-shot Recorder.
 func RecordLadder(film *synth.Film, opts Options, tiers []Tier) ([]TierVideo, error) {
+	return new(Recorder).RecordLadder(film, opts, tiers)
+}
+
+// RecordLadder is the package-level RecordLadder on this recorder: each
+// GOP is rendered and hashed once, encoded at every rung, and reused per
+// rung from the last recording when its frames did not change. Every rung
+// is byte-identical to a Record at that tier's QStep.
+func (r *Recorder) RecordLadder(film *synth.Film, opts Options, tiers []Tier) ([]TierVideo, error) {
 	if err := validateLadder(tiers); err != nil {
 		return nil, err
 	}
@@ -79,15 +87,17 @@ func RecordLadder(film *synth.Film, opts Options, tiers []Tier) ([]TierVideo, er
 	// caller left them zero (GOP in particular must match across tiers
 	// for segment-boundary switching to be frame-exact).
 	opts = opts.withDefaults(film.FPS)
-	out := make([]TierVideo, 0, len(tiers))
-	for _, t := range tiers {
-		o := opts
-		o.QStep = t.QStep
-		video, err := Record(film, o)
-		if err != nil {
-			return nil, fmt.Errorf("studio: tier %q: %w", t.Name, err)
-		}
-		out = append(out, TierVideo{Tier: t.Name, Video: video})
+	qsteps := make([]int, len(tiers))
+	for i, t := range tiers {
+		qsteps[i] = Options{QStep: t.QStep}.withDefaults(film.FPS).QStep
+	}
+	videos, err := r.record(film, opts, qsteps)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TierVideo, len(tiers))
+	for i, t := range tiers {
+		out[i] = TierVideo{Tier: t.Name, Video: videos[i]}
 	}
 	return out, nil
 }

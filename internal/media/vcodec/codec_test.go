@@ -561,6 +561,40 @@ func TestEncoderReset(t *testing.T) {
 	}
 }
 
+// TestGOPIndependence pins what incremental re-recording relies on: the
+// encoder carries no state across an I-frame, so encoding GOP k alone
+// after Reset gives the packets a continuous encode emits for it. A codec
+// change that carries state across I-frames (rate control, say) must fail
+// here instead of silently corrupting republished courses.
+func TestGOPIndependence(t *testing.T) {
+	film := testFilm(t)
+	cfg := encCfg(96, 64)
+	n := film.FrameCount()
+	cont, _ := NewEncoder(cfg)
+	want := make([]Packet, n)
+	for i := range want {
+		var err error
+		if want[i], err = cont.Encode(film.Render(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One encoder takes the GOPs last to first, so each starts from the
+	// state another GOP left behind.
+	enc, _ := NewEncoder(cfg)
+	for start := (n - 1) / cfg.GOP * cfg.GOP; start >= 0; start -= cfg.GOP {
+		enc.Reset()
+		for i := start; i < min(start+cfg.GOP, n); i++ {
+			p, err := enc.Encode(film.Render(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Type != want[i].Type || p.Index != i-start || string(p.Data) != string(want[i].Data) {
+				t.Fatalf("frame %d: GOP encoded after Reset differs from the continuous encode", i)
+			}
+		}
+	}
+}
+
 func TestParseHeader(t *testing.T) {
 	film := testFilm(t)
 	enc, _ := NewEncoder(encCfg(96, 64))
