@@ -53,7 +53,7 @@ func main() {
 	steps := flag.Int("steps", 30, "max interactions per session")
 	flushEvery := flag.Int("flush", 32, "telemetry batch size")
 	flushMS := flag.Int("flush-interval-ms", 250, "telemetry interval flush (0 disables)")
-	progressive := flag.Bool("progressive", false, "also measure ranged progressive startup per learner")
+	progressive := flag.Bool("progressive", false, "also measure progressive startup per learner")
 	interactive := flag.Bool("interactive", false, "play server-hosted sessions over the wire instead of simulating locally")
 	playBinary := flag.Bool("play-binary", false, "interactive acts ride the framed binary route (/play/actv2)")
 	playPipeline := flag.Int("play-pipeline", 0, "pipeline up to N fire-and-forget acts per framed batch (implies -play-binary)")
@@ -67,7 +67,6 @@ func main() {
 	watchers := flag.Int("watchers", 200, "classroom mode: watchers per room")
 	roomFPS := flag.Int("room-fps", 10, "classroom mode: driver pace in acts per second")
 	roomTicks := flag.Int("room-ticks", 100, "classroom mode: driver acts per room")
-	roomStream := flag.Bool("room-stream", false, "classroom mode: watchers use chunked streaming instead of long-polling")
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	faultProfile := flag.String("fault", "", fmt.Sprintf("inject a named fault profile into the fleet's HTTP path (%s)", strings.Join(faultnet.ProfileNames(), ", ")))
 	faultSeed := flag.Int64("fault-seed", 1, "fault injection RNG seed (deterministic per seed)")
@@ -137,7 +136,6 @@ func main() {
 			Watchers:  *watchers,
 			FPS:       *roomFPS,
 			Ticks:     *roomTicks,
-			Stream:    *roomStream,
 			Policy:    f,
 			Seed:      *seed,
 		})

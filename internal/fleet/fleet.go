@@ -74,8 +74,8 @@ type Config struct {
 	FlushInterval time.Duration // telemetry interval flush (0 = size-only)
 
 	// ProgressiveStartup additionally measures a ProgressiveOpen per
-	// learner (the ranged startup fetch) instead of timing only the cached
-	// download.
+	// learner (the manifest-planned startup fetch) instead of timing only
+	// the cached download.
 	ProgressiveStartup bool
 
 	// Obs, when set, receives the fleet's client-side transfer histograms

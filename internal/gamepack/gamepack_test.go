@@ -1,6 +1,7 @@
 package gamepack
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -86,8 +87,8 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	p, video := fixture(t)
 	blob, _ := Build(p, video)
 	for _, n := range []int{0, 4, 5, 12, len(blob) / 2} {
-		if _, err := Open(blob[:n]); err == nil {
-			t.Errorf("truncated blob (%d) accepted", n)
+		if _, err := Open(blob[:n]); !errors.Is(err, ErrBadPackage) {
+			t.Errorf("truncated blob (%d): err = %v, want ErrBadPackage", n, err)
 		}
 	}
 	bad := append([]byte("YYYY"), blob[4:]...)

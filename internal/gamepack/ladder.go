@@ -1,6 +1,6 @@
 // Ladder packaging: one .tkg package carrying the same footage at
 // several quality tiers. The canonical tier stays the plain "video"
-// section — every ladder-unaware consumer (legacy range clients,
+// section — every ladder-unaware consumer (whole-package downloads,
 // gamepack.Open, the play service's default publish) keeps working on
 // the full-quality rung — while each extra rung rides its own
 // "video@<tier>" section. All video sections are chunked at the same

@@ -207,37 +207,6 @@ type SectionLoc struct {
 	Off, Size int
 }
 
-// Layout computes, without any chunk bytes, where each section's payload
-// lands in the assembled blob and the blob's total size. It exists so a
-// delta-syncing client can plan ranged access from the manifest alone.
-func (m *Manifest) Layout() ([]SectionLoc, int) {
-	manSize := len(m.Encode())
-	pos := 5 // magic + version
-	pos += uvarintLen(uint64(len(m.Sections)))
-	locs := make([]SectionLoc, len(m.Sections))
-	for i, sc := range m.Sections {
-		size := sc.PayloadSize()
-		if sc.Name == SectionManifest && len(sc.Chunks) == 0 {
-			size = manSize
-		}
-		pos += uvarintLen(uint64(len(sc.Name))) + len(sc.Name)
-		pos += uvarintLen(uint64(size))
-		pos += 4 // crc
-		locs[i] = SectionLoc{Name: sc.Name, Off: pos, Size: size}
-		pos += size
-	}
-	return locs, pos
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // AssembleSection rebuilds one section's payload by fetching its chunks.
 func (sc *SectionChunks) AssembleSection(get func(blobstore.Hash) ([]byte, error)) ([]byte, error) {
 	payload := make([]byte, 0, sc.PayloadSize())

@@ -16,8 +16,8 @@
 // The Client offers three strategies, compared by experiments E8/E13:
 //
 //   - Download: fetch the whole package, then play (the 2007 default).
-//   - ProgressiveOpen: manifest (or ranged) fetches of the metadata and
-//     only the start segment's chunks — play begins after a small,
+//   - ProgressiveOpen: manifest fetch, then the metadata's and only the
+//     start segment's chunks — play begins after a small,
 //     size-independent prefix.
 //   - DownloadDelta: manifest diff against the local chunk cache; on a
 //     course update only the chunks whose hashes changed cross the wire,
@@ -604,7 +604,7 @@ func (m *ClientMetrics) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("netstream_delta_seconds", "wall time per delta sync", "seconds", m.DeltaSeconds)
 }
 
-// Client fetches packages from a Server (or anything speaking HTTP ranges).
+// Client fetches packages from a Server.
 type Client struct {
 	HTTP *http.Client // defaults to faultnet.DefaultHTTPClient
 	// Metrics, when set, receives delta-sync observations (see
@@ -619,19 +619,19 @@ func (c *Client) httpClient() *http.Client {
 	return faultnet.DefaultHTTPClient()
 }
 
-// doRetry issues one idempotent request (all Client requests are GETs or
-// HEADs), retrying transport failures and retryable statuses (429/5xx,
-// honoring a server Retry-After) with jittered backoff. On success the
-// returned response's body is open and the caller owns it; terminal
-// statuses (200/206/304/404…) pass through for normal handling.
-func (c *Client) doRetry(method, url string, header http.Header) (*http.Response, error) {
+// doRetry issues one GET, retrying transport failures and retryable
+// statuses (429/5xx, honoring a server Retry-After) with jittered
+// backoff. On success the returned response's body is open and the
+// caller owns it; terminal statuses (200/304/404…) pass through for
+// normal handling.
+func (c *Client) doRetry(url string, header http.Header) (*http.Response, error) {
 	httpc := c.httpClient()
 	// The wall-clock budget rides out brief correlated outages (a network
 	// partition) that an attempt-counted budget cannot.
 	policy := faultnet.RetryPolicy{Budget: 2 * time.Second}
 	var resp *http.Response
 	err := policy.Do(func(int) (error, bool) {
-		req, err := http.NewRequest(method, url, nil)
+		req, err := http.NewRequest(http.MethodGet, url, nil)
 		if err != nil {
 			return err, false
 		}
@@ -646,7 +646,7 @@ func (c *Client) doRetry(method, url string, header http.Header) (*http.Response
 			after, hasAfter := faultnet.RetryAfterDelay(r.Header)
 			io.Copy(io.Discard, r.Body)
 			r.Body.Close()
-			err := fmt.Errorf("netstream: %s %s: %s", method, url, r.Status)
+			err := fmt.Errorf("netstream: GET %s: %s", url, r.Status)
 			if hasAfter {
 				return &faultnet.Delayed{After: after, Err: err}, true
 			}
@@ -665,7 +665,7 @@ func (c *Client) doRetry(method, url string, header http.Header) (*http.Response
 func (c *Client) Download(url string) ([]byte, Stats, error) {
 	var st Stats
 	began := time.Now()
-	resp, err := c.doRetry(http.MethodGet, url, nil)
+	resp, err := c.doRetry(url, nil)
 	if err != nil {
 		return nil, st, err
 	}
@@ -820,7 +820,7 @@ func (c *Client) DownloadCached(url string, cache *PackageCache) ([]byte, Stats,
 	if have {
 		header = http.Header{"If-None-Match": {cached.etag}}
 	}
-	resp, err := c.doRetry(http.MethodGet, url, header)
+	resp, err := c.doRetry(url, header)
 	if err != nil {
 		return nil, st, err
 	}
@@ -846,12 +846,12 @@ func (c *Client) DownloadCached(url string, cache *PackageCache) ([]byte, Stats,
 }
 
 // splitPkgURL resolves a /pkg/ URL into its server base and package name.
-func splitPkgURL(url string) (base, name string, ok bool) {
+func splitPkgURL(url string) (base, name string, err error) {
 	i := strings.LastIndex(url, "/pkg/")
 	if i < 0 {
-		return "", "", false
+		return "", "", fmt.Errorf("netstream: %q is not a /pkg/ URL", url)
 	}
-	return url[:i], url[i+len("/pkg/"):], true
+	return url[:i], url[i+len("/pkg/"):], nil
 }
 
 // fetchChunk transfers one chunk and verifies it against its address; a
@@ -859,7 +859,7 @@ func splitPkgURL(url string) (base, name string, ok bool) {
 // or hostile server cannot feed bytes into the decoder.
 func (c *Client) fetchChunk(base string, ref gamepack.ChunkRef, st *Stats) ([]byte, error) {
 	url := base + "/chunk/" + ref.Hash.String()
-	resp, err := c.doRetry(http.MethodGet, url, nil)
+	resp, err := c.doRetry(url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -910,7 +910,7 @@ func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manif
 	if etag != "" {
 		header = http.Header{"If-None-Match": {etag}}
 	}
-	resp, err := c.doRetry(http.MethodGet, url, header)
+	resp, err := c.doRetry(url, header)
 	if err != nil {
 		return nil, "", false, err
 	}
@@ -940,10 +940,11 @@ func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manif
 // from the cache's chunk tier cross the wire (each hash-verified on
 // receipt), and the package is reassembled locally — on a course update
 // that edited one segment, the transfer is that segment plus the
-// manifest. Falls back to DownloadCached against servers that predate
-// chunk-level delivery, and degrades to the same whole-package path when
-// chunk fetches keep failing (a lossy link must slow a sync down, not
-// kill it). The returned blob must be treated as read-only.
+// manifest. The URL must be a /pkg/ URL on a server that also serves
+// /manifest/; a missing manifest is an error. When chunk fetches keep
+// failing the sync degrades to the whole-package DownloadCached path (a
+// lossy link must slow a sync down, not kill it). The returned blob must
+// be treated as read-only.
 func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st Stats, err error) {
 	if c.Metrics != nil {
 		defer func(t0 time.Time) {
@@ -951,9 +952,9 @@ func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st
 			c.Metrics.DeltaBytes.Observe(int64(st.BytesFetched))
 		}(time.Now())
 	}
-	base, name, ok := splitPkgURL(url)
-	if !ok {
-		return c.DownloadCached(url, cache)
+	base, name, err := splitPkgURL(url)
+	if err != nil {
+		return nil, st, err
 	}
 	began := time.Now()
 	var etag string
@@ -962,12 +963,7 @@ func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st
 	}
 	man, respETag, notModified, err := c.fetchManifest(base+"/manifest/"+name, etag, &st)
 	if err != nil {
-		// A plain package server (404 on /manifest/) still speaks the
-		// legacy protocol; the conditional whole-package path handles it.
-		blob, lst, lerr := c.DownloadCached(url, cache)
-		lst.Requests += st.Requests
-		lst.BytesFetched += st.BytesFetched
-		return blob, lst, lerr
+		return nil, st, err
 	}
 	if notModified {
 		cached, _ := cache.get(url)
@@ -1070,65 +1066,19 @@ func (c *Client) materialize(base string, man *gamepack.Manifest, cache *Package
 	})
 }
 
-// fetchRange GETs bytes [from, to) of url.
-func (c *Client) fetchRange(url string, from, to int, st *Stats) ([]byte, error) {
-	header := http.Header{"Range": {fmt.Sprintf("bytes=%d-%d", from, to-1)}}
-	resp, err := c.doRetry(http.MethodGet, url, header)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusPartialContent && resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("netstream: range GET %s: %s", url, resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusOK && len(data) > to-from {
-		// Server ignored the range; slice what we asked for.
-		data = data[from:to]
-	}
-	st.BytesFetched += len(data)
-	return data, nil
-}
-
-// contentLength HEADs the url.
-func (c *Client) contentLength(url string, st *Stats) (int, error) {
-	resp, err := c.doRetry(http.MethodHead, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("netstream: HEAD %s: %s", url, resp.Status)
-	}
-	if resp.ContentLength < 0 {
-		return 0, errors.New("netstream: server did not report a length")
-	}
-	return int(resp.ContentLength), nil
-}
-
 // RemoteGame is a progressively loaded game: full project document, video
-// head, and packet data for the segments fetched so far. Against a
-// chunk-serving server the packet data arrives as content-addressed
-// chunks (hash-verified, shared through the PackageCache across every
-// learner on the machine); against a legacy server it arrives as byte
-// ranges.
+// head, and packet data for the segments fetched so far. The packet data
+// arrives as content-addressed chunks (hash-verified, shared through the
+// PackageCache across every learner on the machine).
 type RemoteGame struct {
 	Project *core.Project
 	head    *container.Head
 
-	client   *Client
-	url      string
-	videoOff int // absolute offset of the video section within the package
+	client *Client
 
-	// Chunked mode (nil rungs → legacy ranged mode). rungs maps each
-	// quality tier to its fetch plan; "" is the canonical full-quality
-	// rung, always present. abr, when enabled, picks the tier per
-	// segment fetch (see abr.go).
+	// rungs maps each quality tier to its fetch plan; "" is the
+	// canonical full-quality rung, always present. abr, when enabled,
+	// picks the tier per segment fetch (see abr.go).
 	base  string
 	rungs map[string]*tierRung
 	abr   *ABRPicker
@@ -1143,9 +1093,8 @@ type RemoteGame struct {
 }
 
 // ProgressiveOpen fetches just enough of the package to start playing its
-// start scenario: manifest (or section table) → project → video head →
-// start-segment chunks. The returned Stats are the startup cost E8
-// reports.
+// start scenario: manifest → project → video head → start-segment
+// chunks. The returned Stats are the startup cost E8 reports.
 func (c *Client) ProgressiveOpen(url string) (*RemoteGame, Stats, error) {
 	return c.ProgressiveOpenCached(url, nil)
 }
@@ -1153,22 +1102,26 @@ func (c *Client) ProgressiveOpen(url string) (*RemoteGame, Stats, error) {
 // ProgressiveOpenCached is ProgressiveOpen through a shared cache: chunks
 // already fetched by any learner on this cache (or by a previous
 // DownloadDelta) are reused instead of refetched, so the second learner's
-// startup often transfers nothing but the manifest.
+// startup often transfers nothing but the manifest. Like DownloadDelta it
+// needs a /pkg/ URL whose server serves /manifest/.
 func (c *Client) ProgressiveOpenCached(url string, cache *PackageCache) (*RemoteGame, Stats, error) {
+	return c.progressiveOpen(url, cache, false)
+}
+
+// progressiveOpen fetches the manifest and opens the game from it; with
+// lowStart set the start segment comes from the smallest rung.
+func (c *Client) progressiveOpen(url string, cache *PackageCache, lowStart bool) (*RemoteGame, Stats, error) {
 	var st Stats
 	began := time.Now()
-	if base, name, ok := splitPkgURL(url); ok {
-		man, _, _, err := c.fetchManifest(base+"/manifest/"+name, "", &st)
-		if err == nil {
-			g, err := c.openChunked(url, base, man, cache, &st, false)
-			if err != nil {
-				return nil, st, err
-			}
-			st.Elapsed = time.Since(began)
-			return g, st, nil
-		}
+	base, name, err := splitPkgURL(url)
+	if err != nil {
+		return nil, st, err
 	}
-	g, err := c.openRanged(url, &st)
+	man, _, _, err := c.fetchManifest(base+"/manifest/"+name, "", &st)
+	if err != nil {
+		return nil, st, err
+	}
+	g, err := c.openChunked(base, man, cache, &st, lowStart)
 	if err != nil {
 		return nil, st, err
 	}
@@ -1182,7 +1135,7 @@ func (c *Client) ProgressiveOpenCached(url string, cache *PackageCache) (*Remote
 // video chunks (cut exactly at the head/data boundary). Every video
 // rung in the manifest becomes a fetchable tier; with lowStart set the
 // start segment comes from the smallest rung (the ABR open path).
-func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *PackageCache, st *Stats, lowStart bool) (*RemoteGame, error) {
+func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *PackageCache, st *Stats, lowStart bool) (*RemoteGame, error) {
 	vsec := man.Section(gamepack.SectionVideo)
 	psec := man.Section(gamepack.SectionProject)
 	if vsec == nil || psec == nil || len(vsec.Chunks) == 0 {
@@ -1199,18 +1152,9 @@ func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *Pa
 	if err != nil {
 		return nil, err
 	}
-	var videoOff int
-	locs, _ := man.Layout()
-	for _, loc := range locs {
-		if loc.Name == gamepack.SectionVideo {
-			videoOff = loc.Off
-		}
-	}
 	g := &RemoteGame{
 		Project:   proj,
 		client:    c,
-		url:       url,
-		videoOff:  videoOff,
 		base:      base,
 		rungs:     map[string]*tierRung{},
 		cache:     cache,
@@ -1248,88 +1192,6 @@ func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *Pa
 	return g, g.ensureSegmentTier(start.Segment, startTier, st)
 }
 
-// openRanged is the pre-chunk-store progressive path (legacy servers).
-func (c *Client) openRanged(url string, st *Stats) (*RemoteGame, error) {
-	total, err := c.contentLength(url, st)
-	if err != nil {
-		return nil, err
-	}
-	// 1. Section table (grow the prefix until it parses).
-	prefixLen := 4096
-	var secs map[string][2]int
-	for {
-		if prefixLen > total {
-			prefixLen = total
-		}
-		prefix, err := c.fetchRange(url, 0, prefixLen, st)
-		if err != nil {
-			return nil, err
-		}
-		secs, err = gamepack.SectionsWithin(prefix, total)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, gamepack.ErrShortPrefix) || prefixLen == total {
-			return nil, err
-		}
-		prefixLen *= 4
-	}
-	projLoc, ok := secs[gamepack.SectionProject]
-	if !ok {
-		return nil, errors.New("netstream: package has no project section")
-	}
-	videoLoc, ok := secs[gamepack.SectionVideo]
-	if !ok {
-		return nil, errors.New("netstream: package has no video section")
-	}
-	// 2. Project document.
-	projJSON, err := c.fetchRange(url, projLoc[0], projLoc[0]+projLoc[1], st)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := core.UnmarshalProject(projJSON)
-	if err != nil {
-		return nil, err
-	}
-	// 3. Video head (grow until the index parses).
-	headLen := 16384
-	var head *container.Head
-	for {
-		if headLen > videoLoc[1] {
-			headLen = videoLoc[1]
-		}
-		hb, err := c.fetchRange(url, videoLoc[0], videoLoc[0]+headLen, st)
-		if err != nil {
-			return nil, err
-		}
-		head, err = container.ParseHead(hb)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, container.ErrTruncated) || headLen == videoLoc[1] {
-			return nil, err
-		}
-		headLen *= 4
-	}
-	g := &RemoteGame{
-		Project:   proj,
-		head:      head,
-		client:    c,
-		url:       url,
-		videoOff:  videoLoc[0],
-		chunks:    map[int][]byte{},
-		ends:      map[int]int{},
-		tierOf:    map[int]string{},
-		tierBytes: map[string]int64{},
-	}
-	// 4. The start scenario's segment packets.
-	start := proj.ScenarioByID(proj.StartScenario)
-	if start == nil {
-		return nil, fmt.Errorf("netstream: start scenario %q missing", proj.StartScenario)
-	}
-	return g, g.ensureSegment(start.Segment, st)
-}
-
 // chunkOffsets returns each chunk's start offset within its payload.
 func chunkOffsets(chunks []gamepack.ChunkRef) []int {
 	offs := make([]int, len(chunks))
@@ -1351,7 +1213,7 @@ func chunkIndex(chunks []gamepack.ChunkRef, h blobstore.Hash) int {
 	return 0
 }
 
-// ensureSegment fetches the byte range covering a segment (from its
+// ensureSegment fetches the chunks covering a segment (from its
 // preceding keyframe) if not already present. With an ABR picker
 // enabled the fetch rides the picker's current tier; otherwise it pulls
 // the canonical full-quality rung.
@@ -1446,7 +1308,7 @@ func (g *RemoteGame) chunkFor(i int) (int, []byte, string, error) {
 func (c *Client) FetchResource(url string) (string, Stats, error) {
 	var st Stats
 	began := time.Now()
-	resp, err := c.doRetry(http.MethodGet, url, nil)
+	resp, err := c.doRetry(url, nil)
 	if err != nil {
 		return "", st, err
 	}

@@ -103,7 +103,7 @@ func TestProgressiveOpenFetchesLess(t *testing.T) {
 		t.Errorf("progressive fetched %d of %d bytes", st.BytesFetched, len(blob))
 	}
 	if st.Requests < 3 {
-		t.Errorf("requests = %d, expected several ranged fetches", st.Requests)
+		t.Errorf("requests = %d, expected several chunk fetches", st.Requests)
 	}
 }
 
@@ -215,12 +215,20 @@ func TestExtentReaderSeek(t *testing.T) {
 	// Ranged reads across extent boundaries must reproduce the exact bytes
 	// of the assembled package (the store-backed reader is what ServeContent
 	// sees for range requests).
-	c := &Client{}
-	var st Stats
 	for _, r := range [][2]int{{0, 16}, {5, len(blob)}, {len(blob) / 2, len(blob)/2 + 8192}, {len(blob) - 7, len(blob)}} {
-		got, err := c.fetchRange(ts.URL+"/pkg/classroom", r[0], r[1], &st)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/pkg/classroom", nil)
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", r[0], r[1]-1))
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("range [%d,%d): %v", r[0], r[1], err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("range [%d,%d): %v", r[0], r[1], err)
+		}
+		if resp.StatusCode != http.StatusPartialContent {
+			t.Fatalf("range [%d,%d): %s, want 206", r[0], r[1], resp.Status)
 		}
 		if string(got) != string(blob[r[0]:r[1]]) {
 			t.Fatalf("range [%d,%d) differs from blob", r[0], r[1])
@@ -799,37 +807,35 @@ func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 	}
 }
 
-func TestLegacyServerFallback(t *testing.T) {
-	// A plain file server (no /manifest/, no ranges beyond stdlib) still
-	// works through DownloadDelta and ProgressiveOpen.
+// TestManifestRequired: delivery speaks one protocol. A server without
+// /manifest/ and a URL outside /pkg/ are errors for DownloadDelta and
+// ProgressiveOpenCached, never a silent switch to another transfer path.
+func TestManifestRequired(t *testing.T) {
 	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/pkg/classroom" {
 			http.NotFound(w, r)
 			return
 		}
 		http.ServeContent(w, r, "classroom.tkg", time.Unix(0, 0), bytes.NewReader(blob))
 	}))
-	defer legacy.Close()
+	defer plain.Close()
+	ts, _ := testServer(t)
 	c := &Client{}
-	cache := NewPackageCache()
-	got, st, err := c.DownloadDelta(legacy.URL+"/pkg/classroom", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Fatal("fallback download differs")
-	}
-	if st.BytesFetched < len(blob) {
-		t.Errorf("fallback fetched %d of %d bytes", st.BytesFetched, len(blob))
-	}
-	if g, _, err := c.ProgressiveOpen(legacy.URL + "/pkg/classroom"); err != nil {
-		t.Fatalf("progressive fallback: %v", err)
-	} else if !g.HasSegment("seg-classroom") {
-		t.Error("fallback progressive open missed start segment")
+	for _, url := range []string{plain.URL + "/pkg/classroom", ts.URL + "/res/umbrella"} {
+		cache := NewPackageCache()
+		if got, _, err := c.DownloadDelta(url, cache); err == nil {
+			t.Errorf("DownloadDelta(%s) returned %d bytes, want an error", url, len(got))
+		}
+		if cache.Len() != 0 {
+			t.Errorf("DownloadDelta(%s) cached a package", url)
+		}
+		if _, _, err := c.ProgressiveOpenCached(url, cache); err == nil {
+			t.Errorf("ProgressiveOpenCached(%s) succeeded, want an error", url)
+		}
 	}
 }
 

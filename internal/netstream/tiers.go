@@ -1,5 +1,5 @@
 // Multi-tier streaming: the client half of the quality ladder. A
-// chunked RemoteGame carries one rung per "video@<tier>" section in the
+// RemoteGame carries one rung per "video@<tier>" section in the
 // manifest; segments are fetched from whichever rung the ABR picker (or
 // an explicit caller) selects, and the frame path decodes each landed
 // chunk against the head of the rung that produced it. Per-tier wire
@@ -31,11 +31,8 @@ type tierRung struct {
 }
 
 // Tiers lists the quality rungs this game can fetch, canonical ("")
-// first. A single-quality or legacy ranged package yields [""].
+// first. A single-quality package yields [""].
 func (g *RemoteGame) Tiers() []string {
-	if g.rungs == nil {
-		return []string{""}
-	}
 	out := make([]string, 0, len(g.rungs))
 	for tier := range g.rungs {
 		out = append(out, tier)
@@ -49,11 +46,8 @@ func (g *RemoteGame) ABR() *ABRPicker { return g.abr }
 
 // EnableABR attaches a throughput/buffer-driven tier picker sized from
 // the ladder itself: each rung's media rate is its payload size over the
-// video's duration. Requires a chunked (manifest-backed) game.
+// video's duration.
 func (g *RemoteGame) EnableABR(cfg ABRConfig) (*ABRPicker, error) {
-	if g.rungs == nil {
-		return nil, errors.New("netstream: ABR needs a chunked package (legacy ranged servers carry one tier)")
-	}
 	meta := g.head.Meta()
 	if meta.FPS <= 0 || meta.FrameCount <= 0 {
 		return nil, fmt.Errorf("netstream: cannot size ABR ladder from %d frames at %d fps", meta.FrameCount, meta.FPS)
@@ -160,7 +154,7 @@ func (g *RemoteGame) rungHead(tier string, rung *tierRung, st *Stats) (*containe
 // headOf returns the head a fetched chunk's packets index into: the head
 // of the tier that produced it (already grown by the fetch).
 func (g *RemoteGame) headOf(tier string) *container.Head {
-	if tier == "" || g.rungs == nil {
+	if tier == "" {
 		return g.head
 	}
 	rung := g.rungs[tier]
@@ -205,7 +199,7 @@ func (g *RemoteGame) fetchRungRange(tier string, rung *tierRung, lo, hi int, st 
 	return buf, nil
 }
 
-// ensureSegmentTier fetches the byte range covering a segment (from its
+// ensureSegmentTier fetches the chunks covering a segment (from its
 // preceding keyframe) from the given rung, if no rung already covers it.
 // Chapter and keyframe geometry are shared across rungs (BuildLadder
 // validates this), so the canonical head answers "which frames"; the
@@ -226,34 +220,21 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 		return nil
 	}
 	g.mu.Unlock()
-	var chunk []byte
-	if g.rungs != nil {
-		rung := g.rungs[tier]
-		if rung == nil {
-			return fmt.Errorf("netstream: no quality tier %q (have %v)", tier, g.Tiers())
-		}
-		head, err := g.rungHead(tier, rung, st)
-		if err != nil {
-			return err
-		}
-		lo, hi, err := head.ByteRange(k, ch.End)
-		if err != nil {
-			return err
-		}
-		if chunk, err = g.fetchRungRange(tier, rung, lo, hi, st); err != nil {
-			return err
-		}
-	} else {
-		if tier != "" {
-			return fmt.Errorf("netstream: no quality tier %q (legacy ranged package)", tier)
-		}
-		lo, hi, err := g.head.ByteRange(k, ch.End)
-		if err != nil {
-			return err
-		}
-		if chunk, err = g.client.fetchRange(g.url, g.videoOff+lo, g.videoOff+hi, st); err != nil {
-			return err
-		}
+	rung := g.rungs[tier]
+	if rung == nil {
+		return fmt.Errorf("netstream: no quality tier %q (have %v)", tier, g.Tiers())
+	}
+	head, err := g.rungHead(tier, rung, st)
+	if err != nil {
+		return err
+	}
+	lo, hi, err := head.ByteRange(k, ch.End)
+	if err != nil {
+		return err
+	}
+	chunk, err := g.fetchRungRange(tier, rung, lo, hi, st)
+	if err != nil {
+		return err
 	}
 	g.mu.Lock()
 	g.chunks[k] = chunk
@@ -269,27 +250,16 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 // ProgressiveOpenCached, but the start segment is fetched from the
 // smallest rung (fast startup on an unknown link) and the returned game
 // has an ABR picker enabled — subsequent segment fetches through a
-// StreamPlayer (or FetchSegment) ride its tier decisions. Requires a
-// chunked /pkg/ URL; a single-quality package degrades to plain
-// streaming with a one-rung picker.
+// StreamPlayer (or FetchSegment) ride its tier decisions. A
+// single-quality package degrades to plain streaming with a one-rung
+// picker.
 func (c *Client) ProgressiveOpenABR(url string, cache *PackageCache, cfg ABRConfig) (*RemoteGame, Stats, error) {
-	var st Stats
-	began := time.Now()
-	base, name, ok := splitPkgURL(url)
-	if !ok {
-		return nil, st, fmt.Errorf("netstream: ABR open needs a /pkg/ URL, got %q", url)
-	}
-	man, _, _, err := c.fetchManifest(base+"/manifest/"+name, "", &st)
-	if err != nil {
-		return nil, st, err
-	}
-	g, err := c.openChunked(url, base, man, cache, &st, true)
+	g, st, err := c.progressiveOpen(url, cache, true)
 	if err != nil {
 		return nil, st, err
 	}
 	if _, err := g.EnableABR(cfg); err != nil {
 		return nil, st, err
 	}
-	st.Elapsed = time.Since(began)
 	return g, st, nil
 }

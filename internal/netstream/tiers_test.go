@@ -2,12 +2,10 @@ package netstream
 
 import (
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/content"
 	"repro/internal/core"
@@ -228,23 +226,5 @@ func TestABRFallbacksAndErrors(t *testing.T) {
 	}
 	if got := g.ABR().Pick(10); got != "" {
 		t.Errorf("one-rung picker picked %q", got)
-	}
-	// Legacy ranged transport carries exactly the canonical tier.
-	raw := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.ServeContent(w, r, "plain.tkg", time.Now(), strings.NewReader(string(blob)))
-	}))
-	defer raw.Close()
-	rg, _, err := c.ProgressiveOpen(raw.URL + "/plain.tkg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{""}; !reflect.DeepEqual(rg.Tiers(), want) {
-		t.Errorf("ranged Tiers = %v", rg.Tiers())
-	}
-	if _, err := rg.FetchSegmentTier(rg.Chapters()[1].Name, "low"); err == nil {
-		t.Error("ranged game accepted a tier fetch")
-	}
-	if _, err := rg.EnableABR(ABRConfig{}); err == nil {
-		t.Error("ranged game accepted ABR")
 	}
 }

@@ -132,9 +132,10 @@ func (c *Cluster) AddManifest(name string, man *gamepack.Manifest) error {
 }
 
 // StartNode brings up one backend: a Manager over the shared store and
-// directory, hosting every published course, serving /play/* on its own
-// loopback listener, registered with the gateway. Sessions whose ring
-// owner moves onto the new node migrate lazily on their next request.
+// directory, hosting every published course, serving /play/* and /room/*
+// on its own loopback listener, registered with the gateway. Sessions
+// whose ring owner moves onto the new node migrate lazily on their next
+// request.
 func (c *Cluster) StartNode() (*ClusterNode, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,6 +174,7 @@ func (c *Cluster) StartNode() (*ClusterNode, error) {
 		Set("sessions_live", func() any { return mgr.Live() })
 	mux := http.NewServeMux()
 	mux.Handle("/play/", mgr.Handler())
+	mux.Handle("/room/", mgr.Handler())
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/traces", mgr.Ring().Handler())
 	mux.Handle("/healthz", health)

@@ -2,6 +2,7 @@ package playsvc
 
 import (
 	"hash/crc32"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -17,10 +18,26 @@ import (
 // local reference session replays the exact same acts, and asserts every
 // watcher receives bit-identical frames at matching sequence numbers plus
 // the full event and message transcript — the classroom sees exactly what
-// the instructor's session rendered, once per state change.
+// the instructor's session rendered, once per state change. It runs
+// against a single node and through a 3-node cluster gateway.
 func TestRoomGoldenBroadcast(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 4})
+	t.Run("single-node", func(t *testing.T) {
+		ts, m := liveService(t, Options{Shards: 4})
+		roomGoldenBroadcast(t, ts, func(roomID string, _ *RoomClient) (RoomStats, error) {
+			return m.RoomStatsOf(roomID)
+		})
+	})
+	t.Run("gateway", func(t *testing.T) {
+		_, ts := liveCluster(t, 3, Options{})
+		roomGoldenBroadcast(t, ts, func(_ string, wc *RoomClient) (RoomStats, error) {
+			return wc.RoomStats()
+		})
+	})
+}
 
+// roomGoldenBroadcast runs the golden lesson against the room service
+// behind ts; roomStats reads the room's counters after the quiz answers.
+func roomGoldenBroadcast(t *testing.T, ts *httptest.Server, roomStats func(roomID string, wc *RoomClient) (RoomStats, error)) {
 	const roomID = "classroom-golden-room"
 	created, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil)
 	if err != nil {
@@ -147,7 +164,7 @@ func TestRoomGoldenBroadcast(t *testing.T) {
 	if _, err := wcs[1].Answer("q-diagnosis", 1); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.RoomStatsOf(roomID)
+	st, err := roomStats(roomID, wcs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

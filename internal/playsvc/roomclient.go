@@ -1,5 +1,5 @@
 // RoomClient: the watcher-side counterpart of Room. A watcher joins a
-// shared session, follows the fan-out (long-poll or chunked stream) and
+// shared session, follows the fan-out by long-polling and
 // answers cohort quizzes. The driver seat is NOT here — the instructor
 // drives the room through an ordinary Client (Dial with Resume set to the
 // room id), because a room's driven session is a plain hosted session.
@@ -32,7 +32,7 @@ type RoomClientOptions struct {
 	// same id reattaches instead of double-subscribing.
 	Watcher string
 	// Ordered drains the per-watcher ring in order instead of skipping to
-	// the freshest frame on every poll. Streams are always ordered.
+	// the freshest frame on every poll.
 	Ordered bool
 	// Trace, when valid, stamps every request (see ClientOptions.Trace).
 	Trace obs.TraceContext
@@ -188,16 +188,13 @@ func (c *RoomClient) postJSON(path string, body, out any) error {
 }
 
 // watchURL builds the watch query for the current seen-counts.
-func (c *RoomClient) watchURL(wait time.Duration, stream int) string {
+func (c *RoomClient) watchURL(wait time.Duration) string {
 	q := url.Values{}
 	q.Set("room", c.room)
 	q.Set("watcher", c.watcher)
 	q.Set("events", strconv.Itoa(c.seenEvents))
 	q.Set("messages", strconv.Itoa(c.seenMessages))
 	q.Set("wait_ms", strconv.Itoa(int(wait/time.Millisecond)))
-	if stream > 0 {
-		q.Set("stream", strconv.Itoa(stream))
-	}
 	if c.opts.Ordered {
 		q.Set("latest", "0")
 	}
@@ -234,7 +231,7 @@ func (c *RoomClient) Poll(wait time.Duration) (*WatchUpdate, *raster.Frame, erro
 		ctx, cancel = context.WithTimeout(ctx, d+wait)
 	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.watchURL(wait, 0), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.watchURL(wait), nil)
 	if err != nil {
 		return nil, nil, c.fail(err)
 	}
@@ -262,62 +259,12 @@ func (c *RoomClient) Poll(wait time.Duration) (*WatchUpdate, *raster.Frame, erro
 	return u, &c.frame, nil
 }
 
-// Stream opens one chunked-streaming watch of up to n publications and
-// calls fn for each as it lands. The frame is only valid during fn. fn
-// returning a non-nil error stops the stream and returns that error; a
-// server-ended stream (room closed, count reached) returns nil.
-func (c *RoomClient) Stream(n int, hold time.Duration, fn func(*WatchUpdate, *raster.Frame) error) error {
-	if c.err != nil {
-		return c.err
-	}
-	if n <= 0 {
-		return nil
-	}
-	req, err := http.NewRequest(http.MethodGet, c.watchURL(hold, n), nil)
-	if err != nil {
-		return c.fail(err)
-	}
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return c.fail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		err, _ := responseError(resp, "room stream")
-		return c.fail(err)
-	}
-	for i := 0; i < n; i++ {
-		u, err := c.readChunk(resp.Body)
-		if err == io.EOF {
-			return nil // server ended the stream cleanly
-		}
-		if err != nil {
-			return c.fail(err)
-		}
-		c.fold(u)
-		if err := fn(u, &c.frame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readChunk reads one watch chunk (length-prefixed header + pixels) into
-// the client's reusable buffers. io.EOF means the stream ended between
-// chunks.
+// the client's reusable buffers.
 func (c *RoomClient) readChunk(r io.Reader) (*WatchUpdate, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.EOF
-		}
-		return nil, err
+		return nil, fmt.Errorf("playsvc: short watch chunk: %w", err)
 	}
 	n := int(binary.BigEndian.Uint32(lenb[:]))
 	if n <= 0 || n > maxBody {

@@ -6,7 +6,7 @@
 // the CRC on purpose: the header is encoded into a small recycled buffer
 // and the pixel payload is the publication's shared immutable slice, so
 // delivery is two writes and zero frame copies. Chunks self-describe their
-// pixel length, so a chunked stream is just chunks back to back.
+// pixel length.
 package playsvc
 
 import (
